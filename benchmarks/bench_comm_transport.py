@@ -309,6 +309,47 @@ def measure(world: int, payload_mb: float, iters: int) -> dict:
     return results
 
 
+def measure_from_meta(meta: dict) -> dict:
+    """Re-run :func:`measure` with a baseline's recorded parameters."""
+    return measure(meta["world"], meta["payload_mb"], meta["iters"])
+
+
+def absolute_checks(fresh: dict) -> list[str]:
+    """The bench's hard criteria, shared with the CI regression gate.
+
+    The adaptive sparse allreduce must beat the ring-allgather reference
+    at two of the three density scenarios, and the zero-allocation audit
+    must report a clean wire path (no numpy allocations in
+    ``repro.comm``, no arena misses or fallbacks, no new shm segments
+    across the steady-state steps).
+    """
+    failures = []
+    wins = fresh["sparse_adaptive"]["wins"]
+    if wins < 2:
+        failures.append(
+            f"sparse_adaptive.wins: adaptive allreduce beat the "
+            f"allgather reference at only {wins}/3 density scenarios "
+            f"(needs >= 2)"
+        )
+    z = fresh["zero_alloc"]
+    dirty = {
+        key: z[key]
+        for key in (
+            "numpy_alloc_count",
+            "arena_miss_delta",
+            "arena_fallback_delta",
+            "segpool_miss_delta",
+        )
+        if z[key] != 0
+    }
+    if dirty:
+        failures.append(
+            f"zero_alloc: wire path allocated in steady state over "
+            f"{z['steps']} steps: {dirty}"
+        )
+    return failures
+
+
 def measure_tracing_overhead(world: int, payload_mb: float, iters: int) -> dict:
     """Traced vs untraced shm AllReduce throughput (span-recording cost).
 

@@ -220,6 +220,21 @@ def render(results: dict) -> str:
     )
 
 
+def measure_from_meta(meta: dict) -> dict:
+    """Re-run :func:`measure` with a baseline's recorded parameters."""
+    return measure(
+        world=meta["world"],
+        vocab=meta["config"]["vocab"],
+        dim=meta["config"]["dim"],
+        train_steps=meta["train_steps"],
+        clients=meta["clients"],
+        requests_per_client=meta["requests_per_client"],
+        hot_fraction=meta["hot_fraction"],
+        repartition_interval=meta["repartition_interval"],
+        backend=meta["backend"],
+    )
+
+
 def absolute_checks(fresh: dict) -> list[str]:
     """The bench's own pass/fail criteria, shared with the CI gate."""
     failures = []

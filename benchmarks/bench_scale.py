@@ -149,6 +149,19 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
+def measure_from_meta(meta: dict) -> dict:
+    """Re-run :func:`measure` with a baseline's recorded parameters."""
+    return measure(
+        world=meta["world"],
+        steps=meta["steps"],
+        seed=meta["seed"],
+        backend=meta["backend"],
+        transport=meta["transport"],
+        sim_world=meta["sim_world"],
+        probe=meta["probe"],
+    )
+
+
 def absolute_checks(results: dict) -> list[str]:
     """The bench's hard criteria (used on both baseline and fresh runs)."""
     failures = []

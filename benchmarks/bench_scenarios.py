@@ -131,6 +131,22 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
+def measure_from_meta(meta: dict) -> dict:
+    """Re-run :func:`measure` with a baseline's recorded parameters."""
+    return measure(
+        models=tuple(meta["models"]),
+        strategies=tuple(meta["strategies"]),
+        schedules=tuple(meta["schedules"]),
+        world=meta["world"],
+        gpu=meta["gpu"],
+        stages=meta["stages"],
+        microbatches=meta["microbatches"],
+        real=meta["real"],
+        real_world=meta["real_world"],
+        real_steps=meta["real_steps"],
+    )
+
+
 def absolute_checks(results: dict) -> list[str]:
     """The bench's hard criteria (used on both baseline and fresh runs)."""
     failures = []

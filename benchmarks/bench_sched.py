@@ -105,6 +105,27 @@ def measure(
     return results
 
 
+def measure_from_meta(meta: dict) -> dict:
+    """Re-run :func:`measure` with a baseline's recorded parameters."""
+    return measure(
+        world=meta["world"],
+        steps=meta["steps"],
+        trials=meta["trials"],
+        vocab=meta["config"]["vocab"],
+        dim_divisor=meta["config"]["dim_divisor"],
+    )
+
+
+def absolute_checks(fresh: dict) -> list[str]:
+    """The bench's hard criteria, shared with the CI regression gate."""
+    if not fresh["losses_identical"]:
+        return [
+            "losses_identical: overlapped training diverged from the "
+            "synchronous loss curve (must be bit-identical)"
+        ]
+    return []
+
+
 def render(results: dict) -> str:
     meta = results["meta"]
     s, o = results["sync"], results["overlap"]

@@ -167,6 +167,20 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
+def measure_from_meta(meta: dict) -> dict:
+    """Re-run :func:`measure` with a baseline's recorded parameters."""
+    return measure(
+        world=meta["world"],
+        client_levels=tuple(meta["client_levels"]),
+        requests_per_client=meta["requests_per_client"],
+        train_steps=meta["train_steps"],
+        trials=meta["trials"],
+        vocab=meta["config"]["vocab"],
+        dim=meta["config"]["dim"],
+        backend=meta["backend"],
+    )
+
+
 def absolute_checks(fresh: dict) -> list[str]:
     """The bench's own pass/fail criteria, shared with the CI gate."""
     failures = []

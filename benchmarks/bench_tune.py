@@ -164,6 +164,20 @@ def render(results: dict) -> str:
     return "\n".join(lines)
 
 
+def measure_from_meta(meta: dict) -> dict:
+    """Re-run :func:`measure` with a baseline's recorded parameters."""
+    return measure(
+        world=meta["world"],
+        steps=meta["steps"],
+        vocab=meta["config"]["vocab"],
+        dim_divisor=meta["config"]["dim_divisor"],
+        seed=meta["seed"],
+        backend=meta["backend"],
+        transport=meta["transport"],
+        top_k=meta["top_k"],
+    )
+
+
 def absolute_checks(results: dict) -> list[str]:
     """The bench's hard criteria (used on both baseline and fresh runs)."""
     failures = []

@@ -7,17 +7,14 @@ semantics (column-partitioned AlltoAll exchanges, prior/delayed
 application, modified Adam) run end-to-end and can be checked for
 bit-exactness against single-process training.
 
-Two interchangeable backends expose the same :class:`Communicator` API:
+:func:`open_group` is the one entry point: a context-manager factory
+covering both interchangeable backends plus fault injection
+(``faults=``) and span tracing (``trace=``):
 
-* :class:`ThreadGroup` — N worker threads with queue links (fast; used
+* ``backend="thread"`` — N worker threads with queue links (fast; used
   by tests and the convergence experiments);
-* :class:`ProcessGroup` — N spawned processes with OS pipes (true
-  parallelism; used by the examples).
-
-:func:`open_group` is the preferred entry point: one context-manager
-factory covering both backends plus fault injection (``faults=``) and
-span tracing (``trace=``).  Direct ``ThreadGroup`` / ``ProcessGroup``
-construction still works but is deprecated.
+* ``backend="process"`` — N forked processes over shared-memory or
+  queue links (true parallelism; used by the examples).
 
 Collective algorithms are implemented once, against the primitive
 ``send``/``recv``/``barrier`` surface, in :mod:`primitives`.
@@ -33,8 +30,8 @@ from repro.comm.hierarchy import (
     two_level_allreduce_sparse,
     two_level_alltoall_shards,
 )
-from repro.comm.local import ThreadGroup, run_threaded
-from repro.comm.process import TRANSPORTS, ProcessGroup, run_multiprocess
+from repro.comm.local import run_threaded
+from repro.comm.process import TRANSPORTS, run_multiprocess
 from repro.comm.sched import (
     PRIORITY_SERVE,
     PRIORITY_URGENT,
@@ -76,9 +73,7 @@ __all__ = [
     "ring_chunk_bounds",
     "encode_frames",
     "decode_frames",
-    "ThreadGroup",
     "run_threaded",
-    "ProcessGroup",
     "run_multiprocess",
     "TRANSPORTS",
     "CommScheduler",

@@ -1,10 +1,7 @@
 """One front door for every way of opening a communicator group.
 
-Historically each capability had its own entry point: ``ThreadGroup`` /
-``ProcessGroup`` constructors for the backends, ``run_*_with_faults``
-helpers for injection, and (with :mod:`repro.obs`) per-call-site
-recorder wiring for tracing.  :func:`open_group` collapses them into a
-single context-manager factory::
+:func:`open_group` is a single context-manager factory covering both
+backends, fault injection and tracing::
 
     with open_group(4, backend="process", trace=True) as group:
         results = group.run(train_step)
@@ -19,9 +16,8 @@ all ranks share a time origin.  Traced runs ship their spans to rank 0
 over the group's own wire and the merged
 :class:`~repro.obs.TraceBundle` lands on :attr:`CommGroup.last_trace`.
 
-The old constructors still work but emit ``DeprecationWarning``; the
-``run_threaded`` / ``run_multiprocess`` helpers remain as thin
-single-shot conveniences.
+The ``run_threaded`` / ``run_multiprocess`` helpers remain as thin
+single-shot conveniences for plain (untraced, fault-free) runs.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 import pickle
 from typing import Any, Callable
 
-from repro.comm.local import ThreadGroup, run_threaded
+from repro.comm.local import run_threaded
 from repro.comm.process import DEFAULT_TIMEOUT, TRANSPORTS, ProcessGroup
 from repro.obs.merge import TraceBundle, gather_spans, install_recorder, scrape_counters
 from repro.obs.recorder import SpanRecorder, TraceConfig, as_trace_config
@@ -108,7 +104,7 @@ class CommGroup:
 
     ``run(fn, *args, **kwargs)`` executes ``fn(comm, ...)`` on every
     rank and returns per-rank results in rank order — the same contract
-    as :meth:`repro.comm.ProcessGroup.run` — with the configured fault
+    as :meth:`repro.comm.process.ProcessGroup.run` — with the configured fault
     injection and tracing applied transparently.  After a traced run,
     :attr:`last_trace` holds the merged :class:`~repro.obs.TraceBundle`.
 
@@ -160,7 +156,7 @@ class CommGroup:
         #: ``None`` when tracing is off.
         self.last_trace: TraceBundle | None = None
         self._pgroup: ProcessGroup | None = (
-            ProcessGroup._create(world_size, timeout=timeout, transport=transport)
+            ProcessGroup(world_size, timeout=timeout, transport=transport)
             if backend == "process"
             else None
         )
@@ -255,4 +251,4 @@ def open_group(
     )
 
 
-__all__ = ["BACKENDS", "CommGroup", "open_group", "ProcessGroup", "ThreadGroup"]
+__all__ = ["BACKENDS", "CommGroup", "open_group"]

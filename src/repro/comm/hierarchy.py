@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.arena import BufferArena, default_arena
+from repro.comm.arena import BufferArena
 from repro.comm.backend import Communicator, ring_chunk_bounds
 from repro.comm.sparse import (
     allreduce_hot_rows,

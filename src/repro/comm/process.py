@@ -47,7 +47,6 @@ import os
 import pickle
 import queue
 import time
-import warnings
 from collections import deque
 from typing import Any, Callable
 
@@ -416,30 +415,6 @@ class ProcessGroup:
         timeout: float = DEFAULT_TIMEOUT,
         transport: str = "shm",
     ):
-        warnings.warn(
-            "constructing ProcessGroup directly is deprecated; use "
-            "repro.comm.open_group(world_size, backend='process', ...) — "
-            "one factory covers threads, processes, fault injection, and "
-            "tracing",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(world_size, timeout, transport)
-
-    @classmethod
-    def _create(
-        cls,
-        world_size: int,
-        timeout: float = DEFAULT_TIMEOUT,
-        transport: str = "shm",
-    ) -> "ProcessGroup":
-        """Internal constructor (no deprecation warning) for the
-        :func:`repro.comm.open_group` factory and legacy helpers."""
-        self = cls.__new__(cls)
-        self._init(world_size, timeout, transport)
-        return self
-
-    def _init(self, world_size: int, timeout: float, transport: str) -> None:
         check_positive("world_size", world_size)
         check_positive("timeout", timeout)
         check_in("transport", transport, set(TRANSPORTS))
@@ -698,6 +673,6 @@ def run_multiprocess(
     **kwargs,
 ) -> list[Any]:
     """Run ``fn(comm, *args)`` on ``world_size`` processes; results in rank order."""
-    return ProcessGroup._create(world_size, timeout=timeout, transport=transport).run(
+    return ProcessGroup(world_size, timeout=timeout, transport=transport).run(
         fn, *args, **kwargs
     )

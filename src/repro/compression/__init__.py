@@ -2,14 +2,11 @@
 
 The paper lists gradient compression ("reducing messages size with
 gradient compression", QSGD / Deep Gradient Compression) as orthogonal
-and complementary to EmbRace.  This package implements both families
-so the combination can be exercised and benchmarked:
-
-* :mod:`topk` — DGC-style top-k sparsification with error feedback;
-* :mod:`quantize` — QSGD-style stochastic uniform quantization.
+and complementary to EmbRace.  :mod:`topk` implements DGC-style top-k
+sparsification with error feedback, which the real trainer composes
+with every sparse-communication strategy (``RealTrainer(dgc_ratio=)``).
 """
 
 from repro.compression.topk import TopKCompressor
-from repro.compression.quantize import QSGDQuantizer
 
-__all__ = ["TopKCompressor", "QSGDQuantizer"]
+__all__ = ["TopKCompressor"]

@@ -28,14 +28,6 @@ from repro.data.batching import (
     TokenBudgetBatcher,
 )
 from repro.data.prefetch import Prefetcher
-from repro.data.io import (
-    FileCorpus,
-    load_corpus,
-    materialize_synthetic,
-    pack_sentences,
-    save_corpus,
-    unpack_sentences,
-)
 
 __all__ = [
     "Vocab",
@@ -49,10 +41,4 @@ __all__ = [
     "PairBatchIterator",
     "TokenBudgetBatcher",
     "Prefetcher",
-    "FileCorpus",
-    "save_corpus",
-    "load_corpus",
-    "pack_sentences",
-    "unpack_sentences",
-    "materialize_synthetic",
 ]

@@ -36,26 +36,23 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.comm import (
-    TRANSPORTS,
     CommGroup,
     CommHandle,
     CommScheduler,
     Communicator,
     InterNodeMeter,
-    ProcessGroup,
     SchedComm,
     allreduce_sparse_adaptive,
-    alltoall_column_shards,
     as_topology,
     run_threaded,
 )
+from repro.comm.process import ProcessGroup
 from repro.comm.sched import DEFAULT_BUCKET_ELEMS, PRIORITY_URGENT, SchedKnobs
 from repro.obs import (
     SpanRecorder,
@@ -158,8 +155,6 @@ class RealTrainer:
         checkpoint_every: int = 0,
         checkpoint_dir: str | None = None,
         max_restarts: int = 4,
-        backend: str | None = None,
-        transport: str | None = None,
         trace=None,
         group: CommGroup | None = None,
         overlap: bool = True,
@@ -183,15 +178,14 @@ class RealTrainer:
         checkpoints, at most ``max_restarts`` recoveries), which
         survives them; plain :meth:`train` lets the failure propagate.
 
-        ``group`` (preferred) is a :class:`~repro.comm.CommGroup` from
-        :func:`repro.comm.open_group` — it decides where the workers
-        live; passing ``backend=``/``transport=`` directly still works
-        but is deprecated.  ``"thread"`` (the default) runs in-process
-        with reference-passing links (fastest for tests); ``"process"``
-        uses real OS processes over the :class:`~repro.comm.ProcessGroup`
-        backend, with ``transport`` choosing the wire path (``"shm"``
-        zero-copy segments or the legacy ``"queue"`` pickle path).
-        Training is bit-identical across backends and transports.
+        ``group`` is a :class:`~repro.comm.CommGroup` from
+        :func:`repro.comm.open_group` and decides where the workers
+        live: its ``backend="process"`` runs real OS processes, with its
+        ``transport`` choosing the wire path (``"shm"`` zero-copy
+        segments or the ``"queue"`` pickle path).  Without a group the
+        ranks run as in-process threads with reference-passing links
+        (fastest for tests).  Training is bit-identical across backends
+        and transports.
 
         ``trace`` (``True`` or a :class:`~repro.obs.TraceConfig`)
         records per-rank span timelines — compute blocks, collectives,
@@ -248,25 +242,11 @@ class RealTrainer:
         single-level behavior (the historical bits).
         """
         check_in("strategy", strategy, {"allgather", "allreduce", "embrace"})
-        if backend is not None or transport is not None:
-            warnings.warn(
-                "RealTrainer(backend=..., transport=...) is deprecated; pass "
-                "group=repro.comm.open_group(world_size, backend=..., "
-                "transport=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if group is not None and group.world_size != world_size:
             raise ValueError(
                 f"group.world_size ({group.world_size}) != world_size "
                 f"({world_size})"
             )
-        if backend is None:
-            backend = group.backend if group is not None else "thread"
-        if transport is None:
-            transport = group.transport if group is not None else "shm"
-        check_in("backend", backend, {"thread", "process"})
-        check_in("transport", transport, set(TRANSPORTS))
         check_positive("world_size", world_size)
         check_positive("steps", steps)
         if dgc_ratio is not None and not 0.0 < dgc_ratio <= 1.0:
@@ -292,8 +272,6 @@ class RealTrainer:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
         self.max_restarts = max_restarts
-        self.backend = backend
-        self.transport = transport
         self.trace = as_trace_config(trace)
         self.group = group
         self.overlap = overlap
@@ -342,10 +320,11 @@ class RealTrainer:
     def _launch(
         self, *args, timeout: float, group: ProcessGroup | None = None
     ) -> list[TrainResult]:
-        """Run :meth:`_worker` on every rank of the selected backend.
+        """Run :meth:`_worker` on every rank: on ``group`` if given,
+        else on :attr:`group`, else on worker threads.
 
-        ``group``, when given, dispatches to an already-started
-        persistent :class:`~repro.comm.ProcessGroup` — warm workers and
+        ``group`` is an already-started persistent
+        :class:`~repro.comm.process.ProcessGroup` — warm workers and
         links are reused instead of re-forked (restart attempts in
         :meth:`train_resilient` ride the same pool).
         """
@@ -353,10 +332,6 @@ class RealTrainer:
             return group.run(self._worker, *args)
         if self.group is not None:
             return self.group.run(self._worker, *args)
-        if self.backend == "process":
-            return ProcessGroup._create(
-                self.world_size, timeout=timeout, transport=self.transport
-            ).run(self._worker, *args)
         return run_threaded(self.world_size, self._worker, *args, timeout=timeout)
 
     def train(self) -> TrainResult:
@@ -405,11 +380,11 @@ class RealTrainer:
         # One persistent pool outlives every restart attempt: recovery
         # re-dispatches to warm workers instead of re-forking the group.
         group: ProcessGroup | None = None
-        if self.backend == "process":
-            group = ProcessGroup._create(
+        if self.group is not None and self.group.backend == "process":
+            group = ProcessGroup(
                 self.world_size,
                 timeout=plan.recv_deadline,
-                transport=self.transport,
+                transport=self.group.transport,
             ).start()
         try:
             while True:
@@ -421,10 +396,10 @@ class RealTrainer:
                     # A worker died mid-attempt (injected crash escaping
                     # the service loop, OOM kill...): replace the pool.
                     group.close()
-                    group = ProcessGroup._create(
+                    group = ProcessGroup(
                         self.world_size,
                         timeout=plan.recv_deadline,
-                        transport=self.transport,
+                        transport=self.group.transport,
                     ).start()
                 try:
                     results = self._launch(

@@ -8,7 +8,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.data import (
-    Batch,
     BatchIterator,
     DLRMBatchIterator,
     PairBatchIterator,

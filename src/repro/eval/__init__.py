@@ -4,7 +4,6 @@ from repro.eval.perplexity import perplexity, perplexity_curve
 from repro.eval.bleu import bleu, sentence_ngrams
 from repro.eval.decode import teacher_forced_argmax
 from repro.eval.accuracy import span_exact_match, span_f1, token_accuracy
-from repro.eval.search import beam_decode, greedy_decode, sequence_log_prob
 
 __all__ = [
     "perplexity",
@@ -15,7 +14,4 @@ __all__ = [
     "token_accuracy",
     "span_exact_match",
     "span_f1",
-    "greedy_decode",
-    "beam_decode",
-    "sequence_log_prob",
 ]

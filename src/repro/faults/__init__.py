@@ -23,12 +23,7 @@ from repro.faults.errors import (
     PeerTimeout,
     RankCrashed,
 )
-from repro.faults.inject import (
-    FaultyCommunicator,
-    InjectionStats,
-    run_multiprocess_with_faults,
-    run_threaded_with_faults,
-)
+from repro.faults.inject import FaultyCommunicator, InjectionStats
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy, retry_with_backoff
 from repro.faults.simfaults import (
@@ -53,6 +48,4 @@ __all__ = [
     "expand_with_faults",
     "message_fault_penalty",
     "retry_with_backoff",
-    "run_multiprocess_with_faults",
-    "run_threaded_with_faults",
 ]

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.comm.backend import Communicator
-from repro.comm.local import run_threaded
 from repro.faults.errors import BarrierBroken, MessageLost, PeerTimeout, RankCrashed
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import retry_with_backoff
@@ -227,77 +226,3 @@ class FaultyCommunicator(Communicator):
             self._sleep(penalty)
             obs.rec("straggle", "compute", "overhead", t0)
 
-
-def run_threaded_with_faults(
-    world_size: int,
-    fn: Callable[[FaultyCommunicator], Any],
-    plan: FaultPlan,
-    *args,
-    timeout: float | None = None,
-    **kwargs,
-) -> list[Any]:
-    """:func:`repro.comm.run_threaded` with every rank's communicator
-    wrapped in a :class:`FaultyCommunicator` driven by ``plan``.
-
-    The group timeout defaults to ``plan.recv_deadline`` so dead peers
-    surface as typed :class:`PeerTimeout` errors within the deadline.
-    """
-
-    def wrapped(comm: Communicator, *a, **k):
-        faulty = FaultyCommunicator(comm, plan)
-        try:
-            return fn(faulty, *a, **k)
-        finally:
-            faulty.drain()
-
-    return run_threaded(
-        world_size,
-        wrapped,
-        *args,
-        timeout=plan.recv_deadline if timeout is None else timeout,
-        **kwargs,
-    )
-
-
-def run_multiprocess_with_faults(
-    world_size: int,
-    fn: Callable[[FaultyCommunicator], Any],
-    plan: FaultPlan,
-    *args,
-    transport: str = "shm",
-    **kwargs,
-) -> list[Any]:
-    """Process-backend twin of :func:`run_threaded_with_faults`.
-
-    ``transport`` selects the wire path (``"shm"`` zero-copy segments or
-    the legacy ``"queue"`` pickle path); the injector wraps the
-    ``_send``/``_recv`` surface either way, so drops, retransmissions,
-    and reordering behave identically on both.
-    """
-    from repro.comm.process import run_multiprocess
-
-    return run_multiprocess(
-        world_size,
-        _FaultyEntrypoint(fn, plan),
-        *args,
-        timeout=plan.recv_deadline,
-        transport=transport,
-        **kwargs,
-    )
-
-
-class _FaultyEntrypoint:
-    """Picklable wrapper installing the injector in each worker process."""
-
-    def __init__(self, fn: Callable, plan: FaultPlan):
-        self.fn = fn
-        self.plan = plan
-
-    def __call__(self, comm: Communicator, *args, **kwargs):
-        faulty = FaultyCommunicator(comm, self.plan)
-        try:
-            return self.fn(faulty, *args, **kwargs)
-        finally:
-            # Deliver in-flight delayed sends before the worker reports
-            # and tears down its transport — peers may still be reading.
-            faulty.drain()

@@ -83,19 +83,6 @@ class GNMTModel(BaseNLPModel):
         self.encoder_embedding.backward(grad_src_emb)
         return loss
 
-    def decode_logits(self, src: np.ndarray, tgt_in: np.ndarray) -> np.ndarray:
-        """Forward-only logits over target positions (for decoding).
-
-        Not re-entrant with a pending backward: calling this between
-        ``forward_backward`` and its optimizer step would clobber the
-        layers' stored backward closures.
-        """
-        enc_h = self.encoder(self.encoder_embedding(src))
-        dec_emb = self.decoder_embedding(tgt_in)
-        context = self.attention(dec_emb, enc_h)
-        dec_h = self.decoder(np.concatenate([dec_emb, context], axis=-1))
-        return self.output_projection(dec_h)
-
     def embedding_tables(self) -> dict[str, nn.Embedding]:
         return {
             "encoder_embedding": self.encoder_embedding,

@@ -97,22 +97,6 @@ class TransformerMTModel(BaseNLPModel):
         self.encoder_embedding.backward(grad_enc)
         return loss
 
-    def decode_logits(self, src: np.ndarray, tgt_in: np.ndarray) -> np.ndarray:
-        """Forward-only logits over target positions (for decoding).
-
-        Not re-entrant with a pending backward (see GNMTModel.decode_logits).
-        """
-        dim = self.config.hidden_dim
-        enc_h = self.encoder_embedding(src) + sinusoidal_positions(src.shape[1], dim)
-        for layer in self.encoder_layers:
-            enc_h = layer(enc_h)
-        dec_h = self.decoder_embedding(tgt_in) + sinusoidal_positions(
-            tgt_in.shape[1], dim
-        )
-        for layer in self.decoder_layers:
-            dec_h = layer(dec_h, memory=enc_h, causal=True)
-        return self.output_projection(dec_h)
-
     def embedding_tables(self) -> dict[str, nn.Embedding]:
         return {
             "encoder_embedding": self.encoder_embedding,

@@ -21,7 +21,6 @@ from repro.nn.module import Module, Sequential
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear
 from repro.nn.layernorm import LayerNorm
-from repro.nn.dropout import Dropout
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.bahdanau import BahdanauAttention
 from repro.nn.feedforward import FeedForward
@@ -37,7 +36,6 @@ __all__ = [
     "Embedding",
     "Linear",
     "LayerNorm",
-    "Dropout",
     "MultiHeadAttention",
     "BahdanauAttention",
     "FeedForward",

@@ -1,8 +1,9 @@
 """Optimizers with dense and row-sparse update paths.
 
-``Adagrad`` and ``SGD`` are fully element-wise, so (as the paper notes in
-§5.7) splitting a sparse gradient into prior/delayed parts and applying
-them sequentially is automatically equivalent to one fused update.
+``SGD`` is fully element-wise, so (as the paper notes in §5.7 for SGD
+and Adagrad) splitting a sparse gradient into prior/delayed parts and
+applying them sequentially is automatically equivalent to one fused
+update.
 ``Adam`` is *not*: its scalar ``step`` state advances on every call, so a
 two-part application would bias-correct the two parts differently.
 :class:`EmbraceAdam` implements the paper's fix — the ``step`` state is
@@ -11,17 +12,7 @@ incremented only when the **delayed** part is applied.
 
 from repro.optim.base import Optimizer
 from repro.optim.sgd import SGD
-from repro.optim.adagrad import Adagrad
 from repro.optim.adam import Adam
 from repro.optim.embrace_adam import EmbraceAdam
-from repro.optim.clip import clip_grad_norm, global_grad_norm
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adagrad",
-    "Adam",
-    "EmbraceAdam",
-    "clip_grad_norm",
-    "global_grad_norm",
-]
+__all__ = ["Optimizer", "SGD", "Adam", "EmbraceAdam"]

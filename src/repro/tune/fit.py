@@ -293,7 +293,9 @@ def probe_link(
 
     One traced :meth:`~repro.comm.CommGroup.run` per payload size; the
     median over ``iters - 1`` timed repetitions (the first is warmup)
-    becomes that size's :class:`ProbeSample`.  The thread backend is
+    becomes that size's :class:`ProbeSample`.  A sweep whose fit is
+    degenerate (noise gave a non-positive slope) is re-sampled, up to
+    three sweeps in all, like :func:`probe_two_level`.  The thread backend is
     probed under the transport label ``"thread"`` (its links are
     in-process queues; the ``transport=`` argument is ignored there, as
     in :func:`~repro.comm.open_group`).
@@ -305,23 +307,33 @@ def probe_link(
     from repro.comm import open_group
 
     label = "thread" if backend == "thread" else (transport or "shm")
-    samples = []
+    attempts = 3
     with open_group(
         world_size, backend=backend, transport=transport, trace=True
     ) as group:
-        for nbytes in sizes_bytes:
-            n_elems = max(1, nbytes // 4)
-            group.run(_probe_rank, n_elems, iters)
-            durations = _allreduce_spans(group.last_trace)
-            if len(durations) < iters:
-                raise RuntimeError(
-                    f"expected {iters} allreduce spans, got {len(durations)}"
+        for attempt in range(attempts):
+            samples = []
+            for nbytes in sizes_bytes:
+                n_elems = max(1, nbytes // 4)
+                group.run(_probe_rank, n_elems, iters)
+                durations = _allreduce_spans(group.last_trace)
+                if len(durations) < iters:
+                    raise RuntimeError(
+                        f"expected {iters} allreduce spans, got {len(durations)}"
+                    )
+                timed = durations[-(iters - 1):]
+                samples.append(
+                    ProbeSample(
+                        nbytes=4 * n_elems, seconds=statistics.median(timed)
+                    )
                 )
-            timed = durations[-(iters - 1):]
-            samples.append(
-                ProbeSample(nbytes=4 * n_elems, seconds=statistics.median(timed))
-            )
-    return link_fit_from_samples(label, world_size, samples)
+            try:
+                return link_fit_from_samples(label, world_size, samples)
+            except ValueError:
+                # Scheduler jitter can hand latency-dominated sizes a
+                # negative slope; re-sample rather than fail the run.
+                if attempt == attempts - 1:
+                    raise
 
 
 # --------------------------------------------------------------------- #

@@ -1,8 +1,8 @@
 """Deterministic random-number-generator plumbing.
 
-Every stochastic component in the library (data generation, initialization,
-dropout) takes an explicit ``numpy.random.Generator``; these helpers create
-and split them reproducibly so that simulated experiments and real
+Every stochastic component in the library (data generation,
+initialization) takes an explicit ``numpy.random.Generator``; these helpers
+create and split them reproducibly so that simulated experiments and real
 multi-process runs are replayable bit-for-bit.
 """
 

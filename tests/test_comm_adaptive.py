@@ -30,7 +30,6 @@ from repro.comm import (
     open_group,
     run_threaded,
 )
-from repro.faults import run_threaded_with_faults
 from repro.faults.plan import FaultPlan
 from repro.obs import SpanRecorder
 from repro.obs.merge import install_recorder
@@ -166,18 +165,14 @@ class TestWireAccounting:
 class TestFaulted:
     def test_adaptive_under_drops_and_delays(self):
         reference = run_threaded(4, run_adaptive, 1.0)
-        got = run_threaded_with_faults(
-            4, run_adaptive, FaultPlan(**FAULT_PLAN), 1.0
-        )
+        got = open_group(4, faults=FaultPlan(**FAULT_PLAN)).run(run_adaptive, 1.0)
         for ref, g in zip(reference, got):
             assert np.array_equal(ref.indices, g.indices)
             assert np.array_equal(ref.values, g.values)
 
     def test_shard_fast_path_under_faults(self):
         reference = run_threaded(4, run_shard, 1.0)
-        got = run_threaded_with_faults(
-            4, run_shard, FaultPlan(**FAULT_PLAN), 1.0
-        )
+        got = open_group(4, faults=FaultPlan(**FAULT_PLAN)).run(run_shard, 1.0)
         for ref, g in zip(reference, got):
             assert np.array_equal(ref.indices, g.indices)
             assert np.array_equal(ref.values, g.values)

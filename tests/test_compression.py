@@ -1,11 +1,11 @@
-"""Tests for the gradient-compression extension (top-k + QSGD)."""
+"""Tests for the gradient-compression extension (DGC-style top-k)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import QSGDQuantizer, TopKCompressor
+from repro.compression import TopKCompressor
 from repro.nn.parameter import Parameter
 from repro.optim import SGD
 
@@ -94,56 +94,6 @@ class TestTopK:
         np.testing.assert_allclose(
             c.decompress(idx, vals, (n,)) + c._residual, grad, atol=1e-12
         )
-
-
-class TestQSGD:
-    def test_zero_tensor(self):
-        q = QSGDQuantizer()
-        enc = q.encode(np.zeros(5))
-        np.testing.assert_array_equal(q.decode(enc), np.zeros(5))
-
-    def test_roundtrip_error_bounded(self):
-        q = QSGDQuantizer(num_levels=255)
-        x = np.random.default_rng(0).normal(size=100)
-        err = np.abs(q.decode(q.encode(x)) - x)
-        # Per-element error bounded by norm / levels.
-        assert err.max() <= np.linalg.norm(x) / 255 + 1e-12
-
-    def test_unbiasedness(self):
-        """E[decode(encode(x))] == x — the QSGD convergence property."""
-        x = np.array([0.3, -0.7, 0.05, 1.1])
-        q = QSGDQuantizer(num_levels=4, rng=np.random.default_rng(0))
-        decoded = np.mean([q.decode(q.encode(x)) for _ in range(4000)], axis=0)
-        np.testing.assert_allclose(decoded, x, atol=0.02)
-
-    def test_preserves_shape_and_signs(self):
-        q = QSGDQuantizer()
-        x = np.array([[1.0, -2.0], [0.0, 3.0]])
-        out = q.decode(q.encode(x))
-        assert out.shape == x.shape
-        assert np.all(np.sign(out) == np.sign(x))
-
-    def test_wire_size_smaller_than_dense(self):
-        q = QSGDQuantizer()
-        enc = q.encode(np.ones(1000))
-        assert enc.nbytes < 1000 * 8
-        assert q.compression_ratio(1000) > 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QSGDQuantizer(num_levels=0)
-        with pytest.raises(ValueError):
-            QSGDQuantizer(num_levels=100_000)
-
-    @given(n=st.integers(1, 50), seed=st.integers(0, 50))
-    @settings(max_examples=40, deadline=None)
-    def test_decode_norm_bounded(self, n, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=n)
-        q = QSGDQuantizer(num_levels=255, rng=rng)
-        out = q.decode(q.encode(x))
-        # Levels never exceed num_levels -> per-element |out| <= norm * (1 + 1/levels).
-        assert np.abs(out).max() <= np.linalg.norm(x) * (1 + 1 / 255) + 1e-9
 
 
 class TestRealTrainerDGC:

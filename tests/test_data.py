@@ -231,68 +231,6 @@ class TestBatchOverlapStatistics:
         assert overlap_frac(100_000) < overlap_frac(1_000)
 
 
-class TestCorpusIO:
-    def test_pack_unpack_roundtrip(self):
-        from repro.data import pack_sentences, unpack_sentences
-
-        sentences = [np.array([1, 2, 3]), np.array([4]), np.array([5, 6])]
-        tokens, offsets = pack_sentences(sentences)
-        assert tokens.tolist() == [1, 2, 3, 4, 5, 6]
-        assert offsets.tolist() == [0, 3, 4, 6]
-        back = unpack_sentences(tokens, offsets)
-        for a, b in zip(sentences, back):
-            assert np.array_equal(a, b)
-
-    def test_pack_validation(self):
-        from repro.data import pack_sentences
-
-        with pytest.raises(ValueError):
-            pack_sentences([])
-        with pytest.raises(ValueError):
-            pack_sentences([np.array([], dtype=np.int64)])
-
-    def test_unpack_validation(self):
-        from repro.data import unpack_sentences
-
-        with pytest.raises(ValueError):
-            unpack_sentences(np.array([1, 2]), np.array([0, 3]))
-        with pytest.raises(ValueError):
-            unpack_sentences(np.array([1, 2]), np.array([0, 0, 2]))
-
-    def test_save_load_file_corpus(self, tmp_path):
-        from repro.data import FileCorpus, materialize_synthetic
-
-        path = str(tmp_path / "corpus.npz")
-        src = SyntheticCorpus(Vocab(100), min_len=3, max_len=6, seed=0)
-        materialize_synthetic(path, src, n_sentences=10)
-        corpus = FileCorpus(path)
-        assert len(corpus) == 10
-        assert corpus.vocab.size == 100
-        first = corpus.sentence()
-        # Replays deterministically and cycles.
-        for _ in range(9):
-            corpus.sentence()
-        assert np.array_equal(corpus.sentence(), first)
-
-    def test_file_corpus_feeds_batch_iterator(self, tmp_path):
-        from repro.data import FileCorpus, materialize_synthetic
-
-        path = str(tmp_path / "c.npz")
-        materialize_synthetic(
-            path, SyntheticCorpus(Vocab(64), min_len=4, max_len=8, seed=1), 20
-        )
-        it = BatchIterator(FileCorpus(path), batch_size=4)
-        batch = next(iter(it))
-        assert batch.batch_size == 4
-        assert batch.num_tokens > 0
-
-    def test_save_vocab_validation(self, tmp_path):
-        from repro.data import save_corpus
-
-        with pytest.raises(ValueError):
-            save_corpus(str(tmp_path / "x.npz"), [np.array([200])], vocab_size=100)
-
-
 class TestZipfMixtureSampler:
     def test_head_mass_respected(self):
         from repro.data.zipf import ZipfMixtureSampler

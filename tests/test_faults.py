@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.comm import open_group
 from repro.faults import (
     CommFailure,
     FaultPlan,
@@ -17,7 +18,6 @@ from repro.faults import (
     degraded_step_time,
     expand_with_faults,
     retry_with_backoff,
-    run_threaded_with_faults,
 )
 from repro.sim import Task, TaskGraph, execute
 from repro.sim.multirank import expand_to_ranks
@@ -123,7 +123,7 @@ class TestFaultyCommunicator:
         def fn(comm):
             return comm.allreduce(np.full(3, float(comm.rank))), comm.stats.as_dict()
 
-        results = run_threaded_with_faults(3, fn, FaultPlan(recv_deadline=5.0))
+        results = open_group(3, faults=FaultPlan(recv_deadline=5.0)).run(fn)
         for data, stats in results:
             np.testing.assert_allclose(data, np.full(3, 3.0))
             assert stats["retransmits"] == stats["delayed"] == stats["lost"] == 0
@@ -144,7 +144,7 @@ class TestFaultyCommunicator:
             out = comm.allreduce(np.arange(4.0) * (comm.rank + 1))
             return out, comm.stats.retransmits
 
-        results = run_threaded_with_faults(3, fn, plan)
+        results = open_group(3, faults=plan).run(fn)
         expected = np.arange(4.0) * 6
         for data, _ in results:
             np.testing.assert_allclose(data, expected)
@@ -160,7 +160,7 @@ class TestFaultyCommunicator:
                 return comm.stats.reordered
             return [comm.recv(0) for _ in range(8)]
 
-        results = run_threaded_with_faults(2, fn, plan)
+        results = open_group(2, faults=plan).run(fn)
         assert results[1] == list(range(8))
         assert results[0] > 0  # some messages really were held back
 
@@ -179,7 +179,7 @@ class TestFaultyCommunicator:
             return True
 
         with pytest.raises(RuntimeError) as excinfo:
-            run_threaded_with_faults(2, fn, plan)
+            open_group(2, faults=plan).run(fn)
         assert isinstance(excinfo.value.__cause__, MessageLost)
 
     def test_dead_peer_raises_typed_timeout(self):
@@ -192,7 +192,7 @@ class TestFaultyCommunicator:
                 comm.recv(0)
             return True
 
-        assert run_threaded_with_faults(2, fn, plan)[1] is True
+        assert open_group(2, faults=plan).run(fn)[1] is True
 
     def test_check_crash_fires_at_planned_step(self):
         plan = FaultPlan(crashes={1: 3}, recv_deadline=0.5)
@@ -203,7 +203,7 @@ class TestFaultyCommunicator:
             return True
 
         with pytest.raises(RuntimeError) as excinfo:
-            run_threaded_with_faults(2, fn, plan)
+            open_group(2, faults=plan).run(fn)
         cause = excinfo.value.__cause__
         assert isinstance(cause, RankCrashed)
         assert cause.rank == 1 and cause.step == 3
@@ -213,7 +213,7 @@ class TestFaultyCommunicator:
         from repro.comm.local import ThreadGroup
 
         plan = FaultPlan(stragglers={0: 3.0})
-        comm = FaultyCommunicator(ThreadGroup._create(1).communicator(0), plan)
+        comm = FaultyCommunicator(ThreadGroup(1).communicator(0), plan)
         start = time.perf_counter()
         with comm.straggler():
             time.sleep(0.05)
@@ -327,7 +327,7 @@ class TestResilientTraining:
     @pytest.mark.slow
     def test_crash_recovery_on_process_shm_backend(self, tmp_path):
         """The acceptance path: restart attempts reuse one persistent
-        shared-memory ProcessGroup, and recovery stays bit-exact."""
+        shared-memory worker pool, and recovery stays bit-exact."""
         from repro.engine.trainer_real import RealTrainer
         from repro.models import GNMT8
 
@@ -335,15 +335,15 @@ class TestResilientTraining:
         kwargs = dict(strategy="allgather", world_size=2, steps=6, seed=5)
         expected = RealTrainer(config, **kwargs).train()
         plan = FaultPlan(seed=5, crashes={1: 5}, recv_deadline=5.0)
-        out = RealTrainer(
-            config,
-            fault_plan=plan,
-            checkpoint_every=2,
-            checkpoint_dir=str(tmp_path),
-            backend="process",
-            transport="shm",
-            **kwargs,
-        ).train_resilient()
+        with open_group(2, backend="process", transport="shm") as group:
+            out = RealTrainer(
+                config,
+                fault_plan=plan,
+                checkpoint_every=2,
+                checkpoint_dir=str(tmp_path),
+                group=group,
+                **kwargs,
+            ).train_resilient()
         assert out.report.attempts == 2
         assert out.report.crash_events == [(1, 5)]
         assert out.result.losses == expected.losses

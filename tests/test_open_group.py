@@ -1,11 +1,11 @@
-"""open_group / RunConfig: the redesigned front door and its shims."""
+"""open_group / RunConfig: the one front door for groups and runs."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.comm import ProcessGroup, ThreadGroup, open_group
+from repro.comm import open_group
 from repro.engine.run import RunConfig, RunResult, real_strategy, run, sim_strategy
 from repro.engine.trainer_real import RealTrainer
 from repro.faults import FaultPlan
@@ -60,19 +60,7 @@ class TestOpenGroup:
 
 
 class TestDeprecatedEntryPoints:
-    def test_thread_group_ctor_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="open_group"):
-            group = ThreadGroup(2)
-        assert group.world_size == 2
-        assert group.communicator(1).rank == 1
-
-    def test_process_group_ctor_warns(self):
-        with pytest.warns(DeprecationWarning, match="open_group"):
-            ProcessGroup(2)
-
-    def test_real_trainer_backend_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="open_group"):
-            RealTrainer(LM.tiny(), world_size=2, steps=1, backend="thread")
+    """The old constructors are gone; what replaced them stays silent."""
 
     def test_new_entry_points_are_silent(self):
         with warnings.catch_warnings():

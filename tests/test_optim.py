@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.parameter import Parameter
-from repro.optim import SGD, Adagrad, Adam, EmbraceAdam
+from repro.optim import SGD, Adam, EmbraceAdam
 from repro.tensors import SparseRows
 
 
@@ -94,37 +94,6 @@ class TestSGD:
         p.grad = g
         SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data[1], before[1] - 0.2)
-
-
-# --------------------------------------------------------------------- #
-# Adagrad
-# --------------------------------------------------------------------- #
-class TestAdagrad:
-    def test_dense_matches_reference(self):
-        p = dense_param()
-        before = p.data.copy()
-        g = np.full_like(p.data, 2.0)
-        p.grad = g
-        Adagrad([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, before - 0.1 * 2.0 / (2.0 + 1e-10))
-
-    def test_sparse_split_equivalence(self):
-        """Element-wise optimizer: two disjoint parts == one fused update."""
-        full = sparse_grad([1, 2, 5, 6])
-        prior, delayed = full.split(np.array([2, 6]))
-
-        p1, p2 = sparse_param(seed=3), sparse_param(seed=3)
-        opt1, opt2 = Adagrad([p1], lr=0.1), Adagrad([p2], lr=0.1)
-
-        p1.grad = full
-        opt1.step()
-
-        p2.grad = prior
-        opt2.step()
-        p2.grad = delayed
-        opt2.step()
-
-        np.testing.assert_allclose(p1.data, p2.data)
 
 
 # --------------------------------------------------------------------- #
@@ -259,53 +228,6 @@ class TestEmbraceAdam:
         fused = self._run_fused(grads, seed=7)
         split_result = self._run_split(grads, split_rows, seed=7)
         np.testing.assert_array_equal(fused, split_result)
-
-
-class TestClipGradNorm:
-    from repro.optim import clip_grad_norm, global_grad_norm  # noqa: F401
-
-    def test_norm_computation_mixed(self):
-        from repro.optim import global_grad_norm
-
-        d = dense_param()
-        d.grad = np.full(d.data.shape, 2.0)
-        s = sparse_param()
-        s.grad = SparseRows(np.array([1, 1]), np.ones((2, 3)), 8)
-        # Sparse norm uses the coalesced values (duplicates summed).
-        expected = np.sqrt(4.0 * d.data.size + 4.0 * 3)
-        assert global_grad_norm([d, s]) == pytest.approx(expected)
-
-    def test_clip_scales_everything(self):
-        from repro.optim import clip_grad_norm, global_grad_norm
-
-        d = dense_param()
-        d.grad = np.full(d.data.shape, 3.0)
-        s = sparse_param()
-        s.grad = sparse_grad([0, 4])
-        before = global_grad_norm([d, s])
-        returned = clip_grad_norm([d, s], max_norm=1.0)
-        assert returned == pytest.approx(before)
-        assert global_grad_norm([d, s]) == pytest.approx(1.0)
-
-    def test_no_clip_below_threshold(self):
-        from repro.optim import clip_grad_norm
-
-        d = dense_param()
-        d.grad = np.full(d.data.shape, 1e-3)
-        grad_before = d.grad.copy()
-        clip_grad_norm([d], max_norm=100.0)
-        np.testing.assert_array_equal(d.grad, grad_before)
-
-    def test_gradless_params_skipped(self):
-        from repro.optim import clip_grad_norm
-
-        assert clip_grad_norm([dense_param()], max_norm=1.0) == 0.0
-
-    def test_validation(self):
-        from repro.optim import clip_grad_norm
-
-        with pytest.raises(ValueError):
-            clip_grad_norm([dense_param()], max_norm=0.0)
 
 
 class TestAdamWeightDecay:

@@ -17,9 +17,10 @@ from repro.comm import (
     SchedComm,
     SchedulerClosed,
     dense_chunk_bounds,
+    open_group,
     run_threaded,
 )
-from repro.faults import FaultPlan, run_threaded_with_faults
+from repro.faults import FaultPlan
 
 
 class TestChunkBounds:
@@ -289,7 +290,7 @@ class TestFaultComposition:
             finally:
                 sched.close()
 
-        outs = run_threaded_with_faults(3, worker, plan)
+        outs = open_group(3, faults=plan).run(worker)
         for results in outs:
             for i, res in enumerate(results):
                 assert res == [(0, i), (1, i), (2, i)]

@@ -14,28 +14,27 @@ import numpy as np
 import pytest
 
 from repro.comm import (
+    NodeTopology,
     allgather_sparse,
     alltoall_column_shards,
     open_group,
     payload_nbytes,
     run_threaded,
+    two_level_allreduce,
 )
 from repro.comm.algorithms import (
     alltoallv,
     gather,
-    hierarchical_allreduce,
     reduce_scatter,
     scatter,
     tree_allreduce,
-)
-from repro.faults.inject import (
-    run_multiprocess_with_faults,
-    run_threaded_with_faults,
 )
 from repro.faults.plan import FaultPlan
 from repro.tensors import SparseRows
 
 WORLD = 4
+#: Two nodes of two ranks: the two-level collectives' node structure.
+TOPOLOGY = NodeTopology.symmetric(2, 2)
 
 
 def _payload(rank: int, dtype=np.float32, n: int = 1000) -> np.ndarray:
@@ -80,7 +79,7 @@ def run_tree_allreduce(comm):
 
 
 def run_hierarchical(comm):
-    return hierarchical_allreduce(comm, _payload(comm.rank), gpus_per_node=2)
+    return two_level_allreduce(comm, _payload(comm.rank), TOPOLOGY)
 
 
 def run_allgather(comm):
@@ -224,9 +223,8 @@ class TestFaultedEquivalence:
 
     def test_thread_backend(self):
         reference = run_threaded(WORLD, run_allreduce, "<f4")
-        got = run_threaded_with_faults(
-            WORLD, run_allreduce, FaultPlan(**self.PLAN), "<f4"
-        )
+        with open_group(WORLD, faults=FaultPlan(**self.PLAN)) as group:
+            got = group.run(run_allreduce, "<f4")
         for rank in range(WORLD):
             assert_bit_identical(reference[rank], got[rank])
 
@@ -234,22 +232,23 @@ class TestFaultedEquivalence:
     @pytest.mark.parametrize("transport", ["shm", "queue"])
     def test_process_backend(self, transport):
         reference = run_threaded(WORLD, run_allreduce, "<f4")
-        got = run_multiprocess_with_faults(
+        with open_group(
             WORLD,
-            run_allreduce,
-            FaultPlan(**self.PLAN),
-            "<f4",
+            backend="process",
             transport=transport,
-        )
+            faults=FaultPlan(**self.PLAN),
+        ) as group:
+            got = group.run(run_allreduce, "<f4")
         for rank in range(WORLD):
             assert_bit_identical(reference[rank], got[rank])
 
     @pytest.mark.slow
     def test_sparse_exchange_under_faults_shm(self):
         reference = run_threaded(WORLD, run_sparse_alltoall)
-        got = run_multiprocess_with_faults(
-            WORLD, run_sparse_alltoall, FaultPlan(**self.PLAN)
-        )
+        with open_group(
+            WORLD, backend="process", faults=FaultPlan(**self.PLAN)
+        ) as group:
+            got = group.run(run_sparse_alltoall)
         for rank in range(WORLD):
             assert_bit_identical(reference[rank], got[rank])
 
@@ -267,7 +266,7 @@ class TestDtypePreservation:
                 comm.allreduce(data).dtype,
                 reduce_scatter(comm, data).dtype,
                 tree_allreduce(comm, data).dtype,
-                hierarchical_allreduce(comm, data, gpus_per_node=2).dtype,
+                two_level_allreduce(comm, data, TOPOLOGY).dtype,
             )
 
         for dtypes in run_threaded(WORLD, fn):

@@ -13,7 +13,6 @@ from repro.engine.trainer_real import RealTrainer
 from repro.models.config import GNMT8
 from repro.tune import (
     Candidate,
-    LinkFit,
     ProbeSample,
     SearchSpace,
     TunedProfile,
