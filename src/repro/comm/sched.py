@@ -659,12 +659,17 @@ class SchedComm(Communicator):
     while still respecting the engine's single global order.  Only
     rank-symmetric operations are supported: point-to-point ``send`` /
     ``recv`` would break the SPMD submission invariant and raise.
+
+    ``obs`` is the scheduler communicator's recorder, as on the channel
+    communicators, so collective algorithms called on the facade (the
+    refresh's lookup exchange) record their spans and wire counters.
     """
 
     def __init__(self, sched: CommScheduler, priority: float = PRIORITY_URGENT):
         super().__init__(sched.comm.rank, sched.comm.world_size)
         self._sched = sched
         self._priority = priority
+        self.obs = sched.comm.obs
 
     def _run(self, label: str, fn: Callable[[Communicator], Any]) -> Any:
         return self._sched.submit(fn, priority=self._priority, label=label).wait()

@@ -53,6 +53,7 @@ from repro.tensors import SparseRows, sorted_union
 #: representation of every hop — sparse or densified.
 _SPARSE_PART = 0  # (_SPARSE_PART, [(indices, values), ...], union)
 _DENSE_PART = 1  # (_DENSE_PART, accumulator, presence mask)
+_FULL_PART = 2  # (_FULL_PART, values): every row, in row order
 
 
 def column_slices(dim: int, world_size: int) -> list[slice]:
@@ -346,13 +347,22 @@ def alltoall_column_shards(
     views* of the coalesced gradient — the frame layer packs them only
     at byte capture, fusing the pack into the wire copy.
 
-    A rank whose local density has already crossed ``dense_switch``
-    sends dense ``(block, presence mask)`` column slices instead — the
-    row index vector disappears from the wire and the receiver skips
-    the giant coalesce (SparCML's stream split applied to the AlltoAll;
-    only worth it near density 1).  Messages are self-describing, so
-    densities may differ per rank.  ``dense_switch=1.0`` never
-    densifies and stays bit-identical to the historical path.
+    Each message is self-describing, so the wire form may differ per
+    rank; a rank picks one from its coalesced gradient:
+
+    * **full** — the gradient holds every row (a full-softmax table):
+      a bare ``(num_rows, width)`` column block, no index vector,
+      whatever ``dense_switch`` says.  The receiver folds it with
+      whole-array assign-then-add in rank order
+      (:meth:`~repro.tensors.SparseRows.merge_coalesced`), so the sum
+      is bit-identical to sending the indices;
+    * **dense** — the local density has crossed ``dense_switch`` < 1:
+      a zero-filled ``(block, presence mask)`` pair — the row index
+      vector disappears and the receiver skips the giant coalesce
+      (SparCML's stream split applied to the AlltoAll; only worth it
+      near density 1);
+    * **sparse** — otherwise: ``(indices, block)``.  ``dense_switch=1.0``
+      never densifies and stays bit-identical to the historical path.
 
     ``table`` (optional) labels this exchange's sent bytes with the
     owning table (``wire_bytes.alltoall_sparse`` and
@@ -394,8 +404,14 @@ def alltoall_column_shards(
         return buf
 
     # -- pack & send ---------------------------------------------------- #
-    dense_send = _crossed(n, num_rows, dense_switch)
-    if dense_send:
+    full_send = n == num_rows  # coalesced, so every row exactly once
+    dense_send = not full_send and _crossed(n, num_rows, dense_switch)
+    if full_send:
+        for dst in range(world):
+            if dst != rank:
+                comm.send(dst, (_FULL_PART, comm.snapshot(grad.values[:, slices[dst]])))
+        own_block = grad.values[:, slices[rank]]
+    elif dense_send:
         send_mask = _take(num_rows, np.bool_)
         send_mask[...] = False
         send_mask[grad.indices] = True
@@ -429,7 +445,9 @@ def alltoall_column_shards(
     if obs.enabled:
         itemsize = np.dtype(vdtype).itemsize
         peer_cols = grad.dim - my_width  # value columns leaving this rank
-        if dense_send:
+        if full_send:
+            sent = n * peer_cols * itemsize
+        elif dense_send:
             sent = (world - 1) * num_rows + num_rows * peer_cols * itemsize
         else:
             sent = (world - 1) * grad.indices.nbytes + n * peer_cols * itemsize
@@ -445,6 +463,7 @@ def alltoall_column_shards(
     # collected so far in rank order.
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     acc = mask = None
+    full_rows = None  # the row ids of a full part, made on first use
 
     def _switch_dense() -> None:
         nonlocal acc, mask
@@ -462,9 +481,14 @@ def alltoall_column_shards(
                 part = (_SPARSE_PART, grad.indices, own_block)
             else:
                 part = comm.recv_view_pinned(src)
-            if part[0] == _SPARSE_PART:
-                p_idx = np.asarray(part[1])
-                p_vals = np.asarray(part[2]).reshape(len(p_idx), my_width)
+            if part[0] != _DENSE_PART:
+                if part[0] == _FULL_PART:
+                    if full_rows is None:
+                        full_rows = grad.indices if full_send else np.arange(num_rows)
+                    p_idx, p_block = full_rows, part[1]
+                else:
+                    p_idx, p_block = np.asarray(part[1]), part[2]
+                p_vals = np.asarray(p_block).reshape(len(p_idx), my_width)
                 if acc is None:
                     parts.append((p_idx, p_vals))
                 else:

@@ -50,7 +50,7 @@ from repro.nn.parameter import Parameter
 from repro.optim import EmbraceAdam
 from repro.placement import PlacementPlan, TablePlacement
 from repro.schedule.vertical import vertical_split
-from repro.tensors import SparseRows
+from repro.tensors import SparseRows, covers_all_rows
 
 
 class EmbraceTableRuntime:
@@ -113,6 +113,8 @@ class EmbraceTableRuntime:
             sparse_grad=True,
         )
         self.hot_optimizer = EmbraceAdam([self.hot_param], lr=lr, betas=betas)
+        self._all_rows = np.arange(table.num_embeddings)
+        self._all_rows.flags.writeable = False
 
     @property
     def n_hot(self) -> int:
@@ -264,6 +266,22 @@ class EmbraceTableRuntime:
         self.apply_part(self.exchange(self.comm, delayed, scale), final=True)
         return prior.nnz_rows, delayed.nnz_rows
 
+    def ids_to_wire(self, ids: np.ndarray) -> np.ndarray | int:
+        """What a rank sends when it shares its id set with its peers.
+
+        Ids naming every row of the table (a full-softmax table's next
+        batch) travel as the row count alone instead of a
+        whole-vocabulary index vector; :meth:`ids_from_wire` undoes it.
+        """
+        num_rows = self.table.num_embeddings
+        return num_rows if covers_all_rows(ids, num_rows) else ids
+
+    def ids_from_wire(self, received: np.ndarray | int) -> np.ndarray:
+        """Inverse of :meth:`ids_to_wire` (the marker becomes every row)."""
+        if isinstance(received, np.ndarray):
+            return received
+        return self._all_rows
+
     def refresh_rows(
         self, local_ids: np.ndarray, all_ids: list[np.ndarray] | None = None
     ) -> None:
@@ -274,9 +292,27 @@ class EmbraceTableRuntime:
         ids' full-dimension vectors.  ``all_ids`` (optional) is the
         already-gathered per-rank id list — the training loop gathers
         next-batch ids once for Algorithm 1's split and passes them here,
-        skipping a second identical AllGather.
+        skipping a second identical AllGather.  Without it the ids are
+        gathered here, in :meth:`ids_to_wire` form.
+
+        When every rank's ids cover the whole table (a full-softmax
+        table), every rank needs every row: the lookup becomes one
+        AllGather of the column shards, written back by column.  It
+        moves the same values as the lookup exchange, without gathering
+        ``weight[ids][:, cols]`` per rank or scattering the full table,
+        and its bytes count as ``wire_bytes.lookup`` too.  Hot rows are
+        fresh on every replica and stay out of both forms.
         """
         local_ids = np.asarray(local_ids, dtype=np.int64)
+        if all_ids is None:
+            all_ids = [
+                self.ids_from_wire(ids)
+                for ids in self.comm.allgather(self.ids_to_wire(local_ids))
+            ]
+        num_rows = self.table.num_embeddings
+        if all(covers_all_rows(ids, num_rows) for ids in all_ids):
+            self._refresh_every_row()
+            return
         if self.n_hot:
             # Hot rows are updated identically on every replica and are
             # never stale; dropping them here (deterministically — the
@@ -287,8 +323,6 @@ class EmbraceTableRuntime:
                     ids[~self.placement.hot_mask(np.asarray(ids, dtype=np.int64))]
                     for ids in all_ids
                 ]
-        if all_ids is None:
-            all_ids = self.comm.allgather(local_ids)
         shard_lookup = np.concatenate(
             [
                 np.ascontiguousarray(self.table.weight.data[ids][:, self.my_columns])
@@ -299,6 +333,26 @@ class EmbraceTableRuntime:
             self.comm, all_ids, shard_lookup, own_count=len(local_ids)
         )
         self.table.weight.data[local_ids] = fresh
+
+    def _refresh_every_row(self) -> None:
+        """Column AllGather of the shards into every replica row (cold
+        rows only under a hot set)."""
+        comm, weight = self.comm, self.table.weight.data
+        rows = slice(None)
+        if self.n_hot:
+            rows = np.flatnonzero(~self.placement.hot_mask(self._all_rows))
+        blocks = comm.allgather(np.ascontiguousarray(weight[rows, self.my_columns]))
+        obs = comm.obs
+        if obs.enabled:
+            # Ring AllGather: every block but the right neighbour's
+            # leaves this rank.
+            right = (comm.rank + 1) % comm.world_size
+            sent = sum(b.nbytes for r, b in enumerate(blocks) if r != right)
+            obs.count("wire_bytes.lookup", float(sent))
+        cols = column_slices(self.table.embedding_dim, comm.world_size)
+        for r, block in enumerate(blocks):
+            if r != comm.rank:
+                weight[rows, cols[r]] = block
 
     def gather_full_table(self) -> np.ndarray:
         """Authoritative full table assembled from every rank's shard.

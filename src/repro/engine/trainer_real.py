@@ -1008,7 +1008,11 @@ class RealTrainer:
         All tables' next-iteration ids travel in **one** AllGather (per-
         collective fixed cost dominates these tiny payloads), and the
         gathered lists are returned so the hoisted refresh reuses them
-        instead of gathering the same ids a second time.
+        instead of gathering the same ids a second time.  An id set
+        naming every row of its table (the full-softmax output table)
+        travels as a small marker
+        (:meth:`~repro.engine.embrace_runtime.EmbraceTableRuntime.ids_to_wire`),
+        not as a whole-vocabulary id list.
 
         Averaging (``scale``) happens *after* the cross-rank sum, at the
         same point as the baseline path, so float rounding matches
@@ -1021,11 +1025,18 @@ class RealTrainer:
             # D_next is the *gathered* next-iteration data (Alg. 1) —
             # one fused collective for every table's id set.
             local_next = {
-                name: self._table_ids(model, name, next_batch) for name in tables
+                name: runtimes[name].ids_to_wire(
+                    self._table_ids(model, name, next_batch)
+                )
+                for name in tables
             }
             per_rank = coll.allgather(local_next)
             gathered_next = {
-                name: [rank_ids[name] for rank_ids in per_rank] for name in tables
+                name: [
+                    runtimes[name].ids_from_wire(rank_ids[name])
+                    for rank_ids in per_rank
+                ]
+                for name in tables
             }
         for name, table in tables.items():
             grad = table.weight.grad

@@ -65,11 +65,19 @@ class Adam(Optimizer):
     def _apply_sparse_rows(
         self, param: Parameter, grad: SparseRows, step_for_bias: int
     ) -> None:
-        """Row-wise Adam update using ``step_for_bias`` as the correction step."""
+        """Row-wise Adam update using ``step_for_bias`` as the correction step.
+
+        A coalesced gradient holding every row of ``param`` updates
+        through whole-array slices instead of fancy-index gathers and
+        scatters; the per-element arithmetic, and so every bit, is the
+        same.
+        """
         st = self.state_for(param)
         rows, vals = grad.indices, grad.values
         if len(rows) == 0:
             return
+        if grad.coalesced and len(rows) == len(param.data):
+            rows = slice(None)  # sorted-unique and full length: every row
         m = st["exp_avg"][rows] * self.beta1 + (1 - self.beta1) * vals
         v = st["exp_avg_sq"][rows] * self.beta2 + (1 - self.beta2) * vals**2
         st["exp_avg"][rows] = m

@@ -11,7 +11,6 @@
 
 from repro.schedule.vertical import (
     EmbeddingGradStats,
-    VerticalScheduler,
     measure_grad_stats,
     vertical_split,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "schedule_costs_from_context",
     "bubble_fraction",
     "vertical_split",
-    "VerticalScheduler",
     "EmbeddingGradStats",
     "measure_grad_stats",
     "horizontal_priorities",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.batching import Batch
-from repro.tensors import SparseRows, rows_intersect, rows_setdiff, unique_rows
+from repro.tensors import SparseRows, rows_intersect, unique_rows
 from repro.utils.validation import check_positive
 
 
@@ -34,38 +34,41 @@ def vertical_split(
 
     ``current_ids`` are this rank's tokens for the just-finished step
     (``D_cur[n]``); ``next_ids`` the prefetched tokens of the upcoming
-    step (``D_next``).  Both may contain duplicates.
+    step (``D_next``).  Both may contain duplicates; a ``current_ids``
+    entry outside the table raises :class:`ValueError`.
+
+    The set algebra runs as one membership pass over the coalesced
+    gradient's rows (row-indexed masks of ``D_u`` and ``D_next``)
+    instead of sorting the id sets: a row is prior when it is in both,
+    delayed when it is in ``D_u`` only, and dropped when it is in
+    neither — the same parts, bit for bit, as ``INDEX_SELECT`` with
+    ``D_u ∩ D_next`` and ``D_u \\ D_next``.  When every row is prior
+    (a full-softmax table's gradient) the coalesced gradient itself is
+    returned, uncopied.
     """
     coalesced = grad.coalesce()
-    d_u = unique_rows(current_ids)
-    i_prior = rows_intersect(d_u, next_ids)
-    i_delayed = rows_setdiff(d_u, i_prior)
-    g_p = coalesced.index_select(i_prior)
-    g_d = coalesced.index_select(i_delayed)
-    return g_p, g_d
-
-
-class VerticalScheduler:
-    """Stateful per-table splitter driven by a prefetching batch stream.
-
-    ``split(table_name, grad, current_batch, next_batch)`` applies
-    Algorithm 1 using each batch's ``token_ids`` entry for that table.
-    When there is no next batch (end of stream) everything is prior.
-    """
-
-    def split(
-        self,
-        table_name: str,
-        grad: SparseRows,
-        current_batch: Batch,
-        next_batch: Batch | None,
-    ) -> tuple[SparseRows, SparseRows]:
-        current_ids = current_batch.token_ids[table_name]
-        if next_batch is None:
-            coalesced = grad.coalesce()
-            return coalesced, SparseRows.empty(grad.num_rows, grad.dim, grad.values.dtype)
-        next_ids = next_batch.token_ids[table_name]
-        return vertical_split(grad, current_ids, next_ids)
+    num_rows = coalesced.num_rows
+    current = np.asarray(current_ids, dtype=np.int64).ravel()
+    if len(current) and (current.min() < 0 or current.max() >= num_rows):
+        raise ValueError(f"current ids out of range [0, {num_rows})")
+    upcoming = np.asarray(next_ids, dtype=np.int64).ravel()
+    if len(upcoming) and (upcoming.min() < 0 or upcoming.max() >= num_rows):
+        # Ids outside the table cannot meet a current id.
+        upcoming = upcoming[(upcoming >= 0) & (upcoming < num_rows)]
+    in_current = np.zeros(num_rows, dtype=np.bool_)
+    in_current[current] = True
+    in_next = np.zeros(num_rows, dtype=np.bool_)
+    in_next[upcoming] = True
+    rows = coalesced.indices
+    kept = in_current[rows]
+    prior = kept & in_next[rows]
+    if prior.all():
+        return coalesced, SparseRows.empty(num_rows, coalesced.dim, coalesced.values.dtype)
+    delayed = kept & ~prior
+    return (
+        SparseRows(rows[prior], coalesced.values[prior], num_rows, coalesced=True),
+        SparseRows(rows[delayed], coalesced.values[delayed], num_rows, coalesced=True),
+    )
 
 
 # ---------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ prior/delayed parts), and dense scatter-add application.
 from repro.tensors.coo import SparseRows, sorted_union
 from repro.tensors.dense import TensorSpec
 from repro.tensors.ops import (
+    covers_all_rows,
     rows_intersect,
     rows_setdiff,
     scatter_add_rows,
@@ -20,6 +21,7 @@ __all__ = [
     "SparseRows",
     "sorted_union",
     "TensorSpec",
+    "covers_all_rows",
     "rows_intersect",
     "rows_setdiff",
     "scatter_add_rows",

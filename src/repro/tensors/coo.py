@@ -118,6 +118,12 @@ class SparseRows:
         of the row space or more) scatter into a dense ``(num_rows,
         dim)`` accumulator by raw row index instead — no searchsorted,
         union from the written mask — with a bit-identical result.
+
+        A part holding all ``num_rows`` rows (a sorted-unique run of
+        that length is every row in order) folds into an empty or a
+        fully written accumulator with one whole-array assign or add,
+        and when the merged rows cover the table the accumulator itself
+        becomes the result.
         """
         total = sum(len(idx) for idx, _ in parts)
         if union is None and total * 4 >= num_rows:
@@ -128,17 +134,30 @@ class SparseRows:
             # sequence per row, so bit-identical to the sparse finish.
             acc = np.empty((num_rows, dim), dtype=dtype)
             written = np.zeros(num_rows, dtype=np.bool_)
+            covered = 0  # rows written so far
             for idx, vals in parts:
                 if len(idx) == 0:
                     continue
+                if len(idx) == num_rows and covered in (0, num_rows):
+                    if covered:
+                        acc += vals
+                    else:
+                        acc[...] = vals
+                        written[...] = True
+                        covered = num_rows
+                    continue
                 seen = written[idx]
-                if seen.any():
+                n_seen = int(np.count_nonzero(seen))
+                if n_seen:
                     fresh = ~seen
                     acc[idx[fresh]] = vals[fresh]
                     acc[idx[seen]] += vals[seen]
                 else:
                     acc[idx] = vals
                 written[idx] = True
+                covered += len(idx) - n_seen
+            if covered == num_rows:
+                return cls(np.arange(num_rows), acc, num_rows, coalesced=True)
             rows = np.flatnonzero(written)
             return cls(rows, acc[rows], num_rows, coalesced=True)
         if union is None:
@@ -275,11 +294,9 @@ class SparseRows:
                 f"requested rows out of range [0, {self.num_rows})"
             )
         mask = np.isin(self.indices, rows, assume_unique=False)
+        # Boolean-mask indexing already returns fresh arrays.
         return SparseRows(
-            self.indices[mask],
-            self.values[mask].copy(),
-            self.num_rows,
-            coalesced=self.coalesced,
+            self.indices[mask], self.values[mask], self.num_rows, self.coalesced
         )
 
     def split(self, rows: np.ndarray) -> tuple["SparseRows", "SparseRows"]:
@@ -292,10 +309,10 @@ class SparseRows:
         rows = np.unique(np.asarray(rows, dtype=np.int64))
         mask = np.isin(self.indices, rows)
         inside = SparseRows(
-            self.indices[mask], self.values[mask].copy(), self.num_rows, self.coalesced
+            self.indices[mask], self.values[mask], self.num_rows, self.coalesced
         )
         outside = SparseRows(
-            self.indices[~mask], self.values[~mask].copy(), self.num_rows, self.coalesced
+            self.indices[~mask], self.values[~mask], self.num_rows, self.coalesced
         )
         return inside, outside
 

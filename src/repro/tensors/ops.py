@@ -33,6 +33,17 @@ def rows_setdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def covers_all_rows(ids: np.ndarray, num_rows: int) -> bool:
+    """True when ``ids`` (any order, duplicates allowed) name every row
+    of ``[0, num_rows)`` and nothing outside it."""
+    ids = np.asarray(ids).ravel()
+    if len(ids) < num_rows or ids.min() < 0 or ids.max() >= num_rows:
+        return False
+    seen = np.zeros(num_rows, dtype=np.bool_)
+    seen[ids] = True
+    return bool(seen.all())
+
+
 def scatter_add_rows(
     table: np.ndarray, indices: np.ndarray, rows: np.ndarray, scale: float = 1.0
 ) -> None:

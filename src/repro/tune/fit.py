@@ -29,7 +29,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -203,7 +203,9 @@ def probe_two_level(
     :func:`~repro.cluster.tuned_cluster_two_level` spec, and
     :meth:`TunedProfile.cost_model` accepts a ``world_size=`` override
     so a 2-node calibration can price 64..1024-rank runs (the hybrid
-    mode's extrapolation).
+    mode's extrapolation).  A sweep whose fit is degenerate at either
+    level is re-swept with twice the timed repetitions, up to four
+    sweeps in all.
     """
     from repro.comm import open_group
     from repro.comm.topology import as_topology
@@ -218,44 +220,33 @@ def probe_two_level(
     if iters < 2:
         raise ValueError("iters must be >= 2 (first iteration is warmup)")
     world = topology.world_size
-    attempts = 3
     with open_group(
         world, backend=backend, transport=transport, trace=True,
         topology=topology,
     ) as group:
-        for attempt in range(attempts):
+
+        def sweep(reps: int) -> dict[str, list[ProbeSample]]:
             samples: dict[str, list[ProbeSample]] = {"intra": [], "inter": []}
             for nbytes in sizes_bytes:
                 n_elems = max(1, nbytes // 4)
                 for level in ("intra", "inter"):
-                    group.run(_probe_level_rank, level, n_elems, iters)
-                    durations = _allreduce_spans(group.last_trace)
-                    if len(durations) < iters:
-                        raise RuntimeError(
-                            f"expected {iters} {level} allreduce spans, "
-                            f"got {len(durations)}"
-                        )
-                    timed = durations[-(iters - 1):]
+                    group.run(_probe_level_rank, level, n_elems, reps)
                     samples[level].append(
-                        ProbeSample(
-                            nbytes=4 * n_elems, seconds=statistics.median(timed)
-                        )
+                        _timed_sample(group.last_trace, n_elems, reps, level)
                     )
-            try:
-                links = {
-                    "intra": link_fit_from_samples(
-                        "intra", len(topology.nodes[0]), samples["intra"]
-                    ),
-                    "inter": link_fit_from_samples(
-                        "inter", topology.num_nodes, samples["inter"]
-                    ),
-                }
-                break
-            except ValueError:
-                # Scheduler jitter can hand a latency-dominated level a
-                # negative slope; re-sample rather than fail the run.
-                if attempt == attempts - 1:
-                    raise
+            return samples
+
+        def fit(samples: dict[str, list[ProbeSample]]) -> dict[str, LinkFit]:
+            return {
+                "intra": link_fit_from_samples(
+                    "intra", len(topology.nodes[0]), samples["intra"]
+                ),
+                "inter": link_fit_from_samples(
+                    "inter", topology.num_nodes, samples["inter"]
+                ),
+            }
+
+        links = _fit_resampling(sweep, fit, iters)
     return TunedProfile(
         world_size=world,
         backend=backend,
@@ -268,6 +259,39 @@ def probe_two_level(
             "probe_sizes_bytes": list(sizes_bytes),
             "probe_iters": iters,
         },
+    )
+
+
+#: Sweeps a probe makes before a degenerate fit is final.
+PROBE_ATTEMPTS = 4
+
+
+def _fit_resampling(sweep: Callable, fit: Callable, iters: int):
+    """``fit(sweep(iters))``, re-swept while the fit is degenerate.
+
+    Scheduler jitter can hand latency-dominated sizes a negative slope
+    (:func:`fit_alpha_beta` raises :class:`ValueError`).  Each retry
+    doubles the timed repetitions (``iters - 1``; the first is warmup),
+    so the medians it fits get steadier instead of drawing the same
+    noise again.  The last attempt's error propagates.
+    """
+    for attempt in range(PROBE_ATTEMPTS):
+        try:
+            return fit(sweep(iters))
+        except ValueError:
+            if attempt == PROBE_ATTEMPTS - 1:
+                raise
+            iters = 2 * (iters - 1) + 1
+
+
+def _timed_sample(bundle, n_elems: int, iters: int, level: str = "") -> ProbeSample:
+    """Median of the ``iters - 1`` timed AllReduce spans of one probe run."""
+    durations = _allreduce_spans(bundle)
+    if len(durations) < iters:
+        what = f"{level} allreduce" if level else "allreduce"
+        raise RuntimeError(f"expected {iters} {what} spans, got {len(durations)}")
+    return ProbeSample(
+        nbytes=4 * n_elems, seconds=statistics.median(durations[-(iters - 1):])
     )
 
 
@@ -294,8 +318,9 @@ def probe_link(
     One traced :meth:`~repro.comm.CommGroup.run` per payload size; the
     median over ``iters - 1`` timed repetitions (the first is warmup)
     becomes that size's :class:`ProbeSample`.  A sweep whose fit is
-    degenerate (noise gave a non-positive slope) is re-sampled, up to
-    three sweeps in all, like :func:`probe_two_level`.  The thread backend is
+    degenerate (noise gave a non-positive slope) is re-swept with twice
+    the timed repetitions, up to four sweeps in all, like
+    :func:`probe_two_level`.  The thread backend is
     probed under the transport label ``"thread"`` (its links are
     in-process queues; the ``transport=`` argument is ignored there, as
     in :func:`~repro.comm.open_group`).
@@ -307,33 +332,23 @@ def probe_link(
     from repro.comm import open_group
 
     label = "thread" if backend == "thread" else (transport or "shm")
-    attempts = 3
     with open_group(
         world_size, backend=backend, transport=transport, trace=True
     ) as group:
-        for attempt in range(attempts):
+
+        def sweep(reps: int) -> list[ProbeSample]:
             samples = []
             for nbytes in sizes_bytes:
                 n_elems = max(1, nbytes // 4)
-                group.run(_probe_rank, n_elems, iters)
-                durations = _allreduce_spans(group.last_trace)
-                if len(durations) < iters:
-                    raise RuntimeError(
-                        f"expected {iters} allreduce spans, got {len(durations)}"
-                    )
-                timed = durations[-(iters - 1):]
-                samples.append(
-                    ProbeSample(
-                        nbytes=4 * n_elems, seconds=statistics.median(timed)
-                    )
-                )
-            try:
-                return link_fit_from_samples(label, world_size, samples)
-            except ValueError:
-                # Scheduler jitter can hand latency-dominated sizes a
-                # negative slope; re-sample rather than fail the run.
-                if attempt == attempts - 1:
-                    raise
+                group.run(_probe_rank, n_elems, reps)
+                samples.append(_timed_sample(group.last_trace, n_elems, reps))
+            return samples
+
+        return _fit_resampling(
+            sweep,
+            lambda samples: link_fit_from_samples(label, world_size, samples),
+            iters,
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -14,7 +14,9 @@ from repro.engine.trainer_sim import make_context
 from repro.models import GNMT8, LM, build_model
 from repro.nn import Embedding
 from repro.nn.parameter import Parameter
+from repro.obs import SpanRecorder
 from repro.optim import EmbraceAdam
+from repro.placement import TablePlacement
 from repro.strategies import ALL_STRATEGIES
 from repro.tensors import SparseRows
 
@@ -77,6 +79,69 @@ class TestEmbraceTableRuntime:
         rows = run_threaded(2, fn)
         # Both replicas observe the same fresh full-dimension row.
         np.testing.assert_array_equal(rows[0], rows[1])
+
+
+class TestWholeTableRefresh:
+    """When every rank's ids cover the table, ``refresh_rows`` is one
+    column AllGather; it must leave the same replica bits as the lookup
+    exchange (here: two half-table refreshes) and count the same
+    ``wire_bytes.lookup``."""
+
+    VOCAB, DIM = 12, 5
+
+    @classmethod
+    def _run(cls, world, whole, hot_ids=()):
+        def fn(comm):
+            comm.obs = SpanRecorder(rank=comm.rank)
+            table = Embedding(cls.VOCAB, cls.DIM, rng=np.random.default_rng(0))
+            runtime = EmbraceTableRuntime(
+                comm, table, lr=0.1,
+                placement=TablePlacement(table="embedding", hot_ids=hot_ids),
+            )
+            rows = np.arange(cls.VOCAB)
+            for step in range(2):
+                # Every row moves, each rank with its own gradient, so
+                # non-owned columns of the replicas go stale.
+                grad = SparseRows(
+                    rows,
+                    np.random.default_rng(10 * step + comm.rank).normal(
+                        size=(cls.VOCAB, cls.DIM)
+                    ),
+                    cls.VOCAB,
+                )
+                hot, cold = runtime.split_hot_cold(grad.coalesce())
+                if runtime.n_hot:
+                    runtime.apply_hot(runtime.exchange_hot(comm, hot, 0.5))
+                runtime.apply_gradient(cold, rows, rows, scale=0.5)
+            if whole:
+                # Duplicated ids in any order still cover the table.
+                ids = np.concatenate([rows[::-1], rows[:3]])
+                runtime.refresh_rows(ids, all_ids=[ids] * comm.world_size)
+            else:
+                for half in np.array_split(rows, 2):
+                    runtime.refresh_rows(half)
+            lookup = comm.obs.counters.get("wire_bytes.lookup", 0.0)
+            return table.weight.data.copy(), lookup
+
+        return run_threaded(world, fn)
+
+    @pytest.mark.parametrize("world", [2, 3])
+    @pytest.mark.parametrize("hot_ids", [(), (1, 4, 9)], ids=["uniform", "hot"])
+    def test_matches_lookup_path(self, world, hot_ids):
+        fast = self._run(world, whole=True, hot_ids=hot_ids)
+        slow = self._run(world, whole=False, hot_ids=hot_ids)
+        for (got, _), (want, _) in zip(fast, slow):
+            assert got.tobytes() == want.tobytes()
+        # Every replica now holds the authoritative table.
+        for got, _ in fast[1:]:
+            assert got.tobytes() == fast[0][0].tobytes()
+
+    @pytest.mark.parametrize("hot_ids", [(), (1, 4, 9)], ids=["uniform", "hot"])
+    def test_lookup_bytes_match_lookup_path(self, hot_ids):
+        fast = self._run(2, whole=True, hot_ids=hot_ids)
+        slow = self._run(2, whole=False, hot_ids=hot_ids)
+        for (_, got), (_, want) in zip(fast, slow):
+            assert got == want > 0
 
 
 class TestCheckpointResume:

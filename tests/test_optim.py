@@ -189,6 +189,37 @@ class TestEmbraceAdam:
         split = self._run_split([g], [np.array([], dtype=np.int64)])
         np.testing.assert_array_equal(fused, split)
 
+    @pytest.mark.parametrize("column_view", [False, True])
+    def test_full_coverage_matches_row_indexed_path(self, column_view):
+        """A gradient over every row updates through whole-array slices;
+        the same rows applied as two disjoint parts take the row-indexed
+        path.  Both must leave identical bits (also on a column view,
+        the shape of an EmbRace shard)."""
+
+        def param():
+            p = sparse_param(shape=(8, 5), seed=3)
+            if column_view:
+                p = Parameter(p.data[:, 1:4], name="shard", sparse_grad=True)
+            return p
+
+        whole, halves = param(), param()
+        opt_whole = EmbraceAdam([whole], lr=0.1)
+        opt_halves = EmbraceAdam([halves], lr=0.1)
+        for step in range(3):
+            g = sparse_grad(list(range(8)), shape=whole.data.shape, seed=50 + step)
+            g.values[0] = -0.0
+            g = g.coalesce()
+            opt_whole.apply_sparse_part(whole, g, final=True)
+            first, second = g.split(np.arange(4))
+            opt_halves.apply_sparse_part(halves, first, final=False)
+            opt_halves.apply_sparse_part(halves, second, final=True)
+        assert whole.data.tobytes() == halves.data.tobytes()
+        for key in ("exp_avg", "exp_avg_sq"):
+            assert (
+                opt_whole.state_for(whole)[key].tobytes()
+                == opt_halves.state_for(halves)[key].tobytes()
+            )
+
     def test_requires_sparse_param(self):
         p = dense_param()
         opt = EmbraceAdam([p], lr=0.1)

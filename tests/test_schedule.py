@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import run_threaded
 from repro.data import BatchIterator, SyntheticCorpus, Vocab
 from repro.data.batching import Batch
+from repro.engine.embrace_runtime import EmbraceTableRuntime
 from repro.models import GNMT8, LM, block_specs
+from repro.nn import Embedding
 from repro.schedule import (
     PRIORITY_DELAYED,
     PRIORITY_PRIOR,
     EmbeddingGradStats,
-    VerticalScheduler,
     horizontal_priorities,
     measure_grad_stats,
     partition_tensor,
     vertical_split,
 )
 from repro.schedule.horizontal import fifo_priorities
-from repro.tensors import SparseRows
+from repro.tensors import SparseRows, rows_intersect, rows_setdiff, unique_rows
 
 
 def sparse(indices, num_rows=20, dim=3, seed=0):
@@ -84,26 +86,94 @@ class TestVerticalSplit:
         assert set(prior.indices) <= set(nxt)
 
 
-class TestVerticalScheduler:
+def _set_op_split(grad, current_ids, next_ids):
+    """Algorithm 1 as sort-based set operations (the reference)."""
+    coalesced = grad.coalesce()
+    d_u = unique_rows(current_ids)
+    i_prior = rows_intersect(d_u, next_ids)
+    i_delayed = rows_setdiff(d_u, i_prior)
+    return coalesced.index_select(i_prior), coalesced.index_select(i_delayed)
+
+
+def _assert_same_part(got, want):
+    assert got.coalesced and want.coalesced
+    assert got.num_rows == want.num_rows
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.values.dtype == want.values.dtype
+    assert got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestVerticalSplitAgainstSetOps:
+    """The membership pass gives the set-op parts bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_randomized(self, seed):
+        rng = np.random.default_rng(seed)
+        num_rows = int(rng.integers(1, 30))
+        n_grad = int(rng.integers(0, 3 * num_rows))
+        grad = SparseRows(
+            rng.integers(0, num_rows, n_grad),  # duplicates coalesce
+            rng.normal(size=(n_grad, 2)),
+            num_rows,
+        )
+        mode = seed % 4
+        if mode == 0:  # full coverage: every row current and next
+            current = rng.permutation(num_rows)
+            upcoming = np.concatenate([np.arange(num_rows)] * 2)
+        elif mode == 1:  # empty next set: everything delayed
+            current = rng.integers(0, num_rows, int(rng.integers(0, 20)))
+            upcoming = np.empty(0, dtype=np.int64)
+        else:
+            current = rng.integers(0, num_rows, int(rng.integers(0, 20)))
+            # Next ids may fall outside the table: they match nothing.
+            upcoming = rng.integers(-3, num_rows + 3, int(rng.integers(0, 20)))
+        got = vertical_split(grad, current, upcoming)
+        want = _set_op_split(grad, current, upcoming)
+        for g, w in zip(got, want):
+            _assert_same_part(g, w)
+
+    def test_full_coverage_returns_coalesced_grad(self):
+        grad = sparse(list(range(20))).coalesce()
+        prior, delayed = vertical_split(grad, np.arange(20), np.arange(20))
+        assert prior is grad
+        assert delayed.nnz_rows == 0 and delayed.dim == grad.dim
+
+    @pytest.mark.parametrize("bad", [[20], [-1], [3, 25]])
+    def test_out_of_range_current_ids_raise(self, bad):
+        with pytest.raises(ValueError):
+            vertical_split(sparse([3]), np.array(bad), np.array([3]))
+        with pytest.raises(ValueError):
+            _set_op_split(sparse([3]), np.array(bad), np.array([3]))
+
+
+class TestVerticalSplitStream:
+    """Algorithm 1 driven from a batch stream's per-table id sets."""
+
     def _batch(self, ids):
         arr = np.array([ids])
         return Batch(arr, arr, len(ids), token_ids={"embedding": np.unique(arr)})
 
     def test_uses_table_ids(self):
-        sched = VerticalScheduler()
         grad = sparse([2, 3, 4])
         cur = self._batch([2, 3, 4])
         nxt = self._batch([3, 9])
-        prior, delayed = sched.split("embedding", grad, cur, nxt)
+        prior, delayed = vertical_split(
+            grad, cur.token_ids["embedding"], nxt.token_ids["embedding"]
+        )
         assert prior.indices.tolist() == [3]
         assert sorted(delayed.indices.tolist()) == [2, 4]
 
     def test_no_next_batch_all_prior(self):
-        sched = VerticalScheduler()
-        grad = sparse([2, 3])
-        prior, delayed = sched.split("embedding", grad, self._batch([2, 3]), None)
-        assert prior.nnz_rows == 2
-        assert delayed.nnz_rows == 0
+        """End of stream (``next_ids=None``): everything is prior."""
+        current = self._batch([2, 3]).token_ids["embedding"]
+
+        def fn(comm):
+            runtime = EmbraceTableRuntime(comm, Embedding(20, 3))
+            prior, delayed = runtime.split(sparse([2, 3]), current, None)
+            return prior.nnz_rows, delayed.nnz_rows
+
+        assert run_threaded(1, fn) == [(2, 0)]
 
 
 class TestGradStats:

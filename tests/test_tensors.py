@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.tensors import (
     SparseRows,
     TensorSpec,
+    covers_all_rows,
     rows_intersect,
     rows_setdiff,
     scatter_add_rows,
@@ -241,6 +242,66 @@ class TestIndexSelectAndSplit:
         assert sorted(delayed.indices.tolist()) == [1, 5]
         # Reassembling both parts recovers the original gradient.
         assert (prior + delayed).allclose(s.coalesce())
+
+    def test_results_own_their_memory(self):
+        s = make_sparse([1, 3, 5, 7], [[1.0], [2.0], [3.0], [4.0]])
+        picked = s.index_select(np.array([3, 7]))
+        inside, outside = s.split(np.array([3, 7]))
+        for part in (picked, inside, outside):
+            assert not np.shares_memory(part.values, s.values)
+            assert not np.shares_memory(part.indices, s.indices)
+        picked.values[...] = -1.0
+        inside.values[...] = -1.0
+        outside.values[...] = -1.0
+        assert s.values.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def _merge_reference(parts, num_rows, dim):
+    """Per-row assign-then-add in part order, one row at a time."""
+    out: dict[int, np.ndarray] = {}
+    for idx, vals in parts:
+        for i, row in zip(idx.tolist(), vals):
+            out[i] = row.copy() if i not in out else out[i] + row
+    rows = np.array(sorted(out), dtype=np.int64)
+    vals = np.array([out[i] for i in rows.tolist()]).reshape(len(rows), dim)
+    return rows, vals
+
+
+class TestMergeCoalescedFullCoverage:
+    """Parts that hold every row fold with whole-array assign/add."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_equal_to_row_by_row_merge(self, seed):
+        rng = np.random.default_rng(seed)
+        num_rows, dim = 40, 3
+        parts = []
+        for _ in range(int(rng.integers(1, 5))):
+            if rng.random() < 0.5:
+                idx = np.arange(num_rows)
+            else:
+                idx = np.unique(rng.integers(0, num_rows, int(rng.integers(0, 30))))
+            vals = rng.normal(size=(len(idx), dim))
+            vals[rng.random(vals.shape) < 0.1] = -0.0  # sign of zero must survive
+            parts.append((idx, vals))
+        got = SparseRows.merge_coalesced(parts, num_rows, dim)
+        rows, vals = _merge_reference(parts, num_rows, dim)
+        np.testing.assert_array_equal(got.indices, rows)
+        assert got.values.tobytes() == vals.tobytes()
+
+    def test_full_result_is_the_accumulator(self):
+        full = (np.arange(8), np.ones((8, 2)))
+        merged = SparseRows.merge_coalesced([full, full], 8, 2)
+        np.testing.assert_array_equal(merged.indices, np.arange(8))
+        assert not np.shares_memory(merged.values, full[1])
+        assert (merged.values == 2.0).all()
+
+    def test_covers_all_rows(self):
+        assert covers_all_rows(np.arange(5), 5)
+        assert covers_all_rows(np.array([4, 3, 2, 1, 0, 0]), 5)
+        assert not covers_all_rows(np.array([0, 1, 2, 3]), 5)
+        assert not covers_all_rows(np.array([0, 1, 2, 3, 3]), 5)
+        assert not covers_all_rows(np.array([0, 1, 2, 3, 4, 5]), 5)
+        assert not covers_all_rows(np.array([-1, 0, 1, 2, 3, 4]), 5)
 
 
 class TestApplyAndCombine:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.comm import open_group
+from repro.engine.workload import batch_stream
 from repro.engine.trainer_real import RealTrainer
 from repro.eval import bleu, perplexity, perplexity_curve, teacher_forced_argmax
 from repro.models import BERT_BASE, GNMT8, LM, TRANSFORMER, build_model
@@ -40,6 +41,46 @@ class TestBitEquivalence:
     def test_equivalence_over_longer_run(self):
         ag, em = run_pair(LM.tiny(), steps=8)
         assert ag.losses == em.losses
+
+
+class TestFullSoftmaxFastPath:
+    """LM's full-softmax output table: its gradient and next-step ids
+    cover every row, so its exchange, Adam update and refresh all take
+    the whole-array path — with AllGather's losses and state, bit for
+    bit."""
+
+    @pytest.mark.parametrize("world", [2, 4])
+    def test_lm_embrace_equals_allgather(self, world):
+        ag, em = run_pair(LM.tiny(), steps=4, world=world, seed=7)
+        assert ag.losses == em.losses
+        for key in ag.state:
+            assert ag.state[key].tobytes() == em.state[key].tobytes(), key
+
+    def test_traced_lookup_bytes_equal_refresh_payload(self):
+        """Rank 0's ``wire_bytes.lookup``: per refresh, rank 1's
+        input-table ids against rank 0's columns, plus rank 0's column
+        block of the whole output table.  The id AllGather carries no
+        whole-vocabulary list and the output table's exchange no index
+        vector."""
+        cfg, steps, seed = LM.tiny(), 3, 5
+        res = RealTrainer(
+            cfg, strategy="embrace", world_size=2, steps=steps, seed=seed,
+            trace=True,
+        ).train()
+        model = build_model(cfg, rng=np.random.default_rng(seed))
+        peer = batch_stream(cfg, "rtx3090", seed=seed + 2)  # rank 1's stream
+        next(peer)
+        peer_ids = sum(
+            len(next(peer).token_ids["embedding"]) for _ in range(steps)
+        )
+        width = model.embedding.embedding_dim - model.embedding.embedding_dim // 2
+        vocab = model.softmax_embedding.num_embeddings
+        expected = 8 * width * (peer_ids + steps * vocab)
+        counters = res.trace.counters[0]
+        assert counters["wire_bytes.lookup"] == expected
+        # The whole-vocabulary index vector would cost 8 * vocab bytes
+        # twice per step; only the input table's ids remain.
+        assert counters.get("wire_bytes.int64", 0.0) < steps * 8 * vocab
 
 
 class TestTrainingProgress:

@@ -17,6 +17,7 @@ from repro.comm import (
     NodeTopology,
     allgather_sparse,
     alltoall_column_shards,
+    column_slices,
     open_group,
     payload_nbytes,
     run_threaded,
@@ -29,7 +30,9 @@ from repro.comm.algorithms import (
     scatter,
     tree_allreduce,
 )
+from repro.comm.sparse import merge_grouped
 from repro.faults.plan import FaultPlan
+from repro.obs import SpanRecorder
 from repro.tensors import SparseRows
 
 WORLD = 4
@@ -127,6 +130,55 @@ def run_sparse_alltoall(comm):
     return alltoall_column_shards(comm, _sparse(comm.rank))
 
 
+#: Ranks whose gradient holds every row (a full-softmax table's).
+FULL_RANKS = (0, 2)
+
+
+def _mixed_coverage_grad(rank: int, rows: int = 64, dim: int = 7) -> SparseRows:
+    if rank in FULL_RANKS:
+        rng = np.random.default_rng(300 + rank)
+        values = rng.normal(size=(rows, dim)).astype(np.float32)
+        values[rng.random(values.shape) < 0.05] = -0.0  # zero signs must survive
+        return SparseRows(np.arange(rows), values, rows, coalesced=True)
+    # Sparse ranks stay well below density 0.9 after coalescing.
+    return _sparse(rank, rows, dim).coalesce()
+
+
+def run_mixed_coverage_alltoall(comm, fold_groups, dense_switch):
+    """alltoall_column_shards over full-coverage and sparse ranks.
+
+    Returns the shard, its ``merge_coalesced`` reference (every rank's
+    gradient re-derived locally, sliced to this rank's columns), the
+    ``wire_bytes.alltoall_sparse`` counter, and the summed payload of
+    what the frames carry to the peers.
+    """
+    grads = [_mixed_coverage_grad(r) for r in range(comm.world_size)]
+    slices = column_slices(grads[0].dim, comm.world_size)
+    mine = slices[comm.rank]
+    parts = [(g.indices, g.values[:, mine]) for g in grads]
+    width = mine.stop - mine.start
+    if fold_groups is None:
+        reference = SparseRows.merge_coalesced(parts, 64, width, np.float32)
+    else:
+        reference = merge_grouped(parts, 64, width, np.float32, fold_groups)
+    own = grads[comm.rank]
+    payload = sum(
+        payload_nbytes(own.values[:, slices[dst]])
+        + (0 if comm.rank in FULL_RANKS else payload_nbytes(own.indices))
+        for dst in range(comm.world_size)
+        if dst != comm.rank
+    )
+    previous, comm.obs = comm.obs, SpanRecorder(rank=comm.rank)
+    try:
+        shard = alltoall_column_shards(
+            comm, own, fold_groups=fold_groups, dense_switch=dense_switch
+        )
+        sent = comm.obs.counters["wire_bytes.alltoall_sparse"]
+    finally:
+        comm.obs = previous
+    return shard, reference, sent, payload
+
+
 def run_mixed_tuple(comm):
     """Tuple-of-arrays + scalars + dict: the multi-frame wire format."""
     msg = (
@@ -206,6 +258,39 @@ def test_collective_identical_across_transports(
 def test_allreduce_out_returns_buffer(shm_group):
     for _, used_out in shm_group.run(run_allreduce_out):
         assert used_out
+
+
+MIXED_COVERAGE = [
+    ("flat", None, 1.0),
+    ("node_grouped", (2, 2), 1.0),
+    ("dense_switch", None, 0.9),
+]
+
+
+@pytest.mark.parametrize(
+    "fold_groups,dense_switch",
+    [case[1:] for case in MIXED_COVERAGE],
+    ids=[case[0] for case in MIXED_COVERAGE],
+)
+def test_full_coverage_frames_match_merge_reference(
+    fold_groups, dense_switch, shm_group, queue_group
+):
+    """Full-coverage ranks send bare column blocks (no index vector);
+    every transport must still produce the canonical merge bit for bit
+    and account exactly the bytes the frames carry."""
+    args = (fold_groups, dense_switch)
+    results = [run_threaded(WORLD, run_mixed_coverage_alltoall, *args)]
+    results += [g.run(run_mixed_coverage_alltoall, *args) for g in (queue_group, shm_group)]
+    for per_rank in results:
+        for shard, reference, sent, payload in per_rank:
+            assert_bit_identical(shard, reference)
+            # array_equal calls -0.0 == 0.0; the bytes keep the sign.
+            assert shard.values.tobytes() == reference.values.tobytes()
+            assert sent == payload
+    # Full-coverage ranks sent no index vector.
+    full_sent, sparse_sent = results[0][0][3], results[0][1][3]
+    assert full_sent == 64 * (7 - 2) * 4
+    assert sparse_sent > 3 * 8  # indices travelled with each sparse frame
 
 
 class TestFaultedEquivalence:

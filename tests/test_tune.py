@@ -24,6 +24,7 @@ from repro.tune import (
     probe_link,
     rank_candidates,
 )
+from repro.tune import fit as fit_module
 from repro.tune.search import MeasuredWorkload, TableLoad, _pack_buckets
 
 
@@ -99,6 +100,61 @@ class TestFit:
         assert fit.bandwidth_Bps > 0 and fit.latency_s >= 0
         assert math.isfinite(fit.residual)
         assert len(fit.samples) == 3
+
+    @staticmethod
+    def _synthetic_spans(monkeypatch, per_sweep: int, clean_from: int):
+        """Replace the probes' span timings with synthetic ones.
+
+        Each probe run reports as many spans as it really recorded (so
+        the repetitions asked for stay visible) but fixed durations:
+        sweeps before ``clean_from`` shrink with message size (negative
+        slope, a degenerate fit), later sweeps grow.  Returns the list
+        of span counts seen, one per probe run.
+        """
+        seen: list[int] = []
+        real = fit_module._allreduce_spans
+
+        def fake(bundle, rank=0):
+            n = len(real(bundle, rank))
+            sweep, step = divmod(len(seen), per_sweep)
+            seen.append(n)
+            slope = -1e-5 if sweep < clean_from else 1e-5
+            return [1e-3 + slope * step] * n
+
+        monkeypatch.setattr(fit_module, "_allreduce_spans", fake)
+        return seen
+
+    def test_probe_link_retry_doubles_timed_reps(self, monkeypatch):
+        seen = self._synthetic_spans(monkeypatch, per_sweep=3, clean_from=1)
+        fit = probe_link(
+            2, backend="thread", transport=None,
+            sizes_bytes=(4_096, 65_536, 262_144), iters=3,
+        )
+        assert fit.bandwidth_Bps > 0 and fit.latency_s >= 0
+        # 2 timed repetitions, then 4: iters 3 -> 5.
+        assert seen == [3, 3, 3, 5, 5, 5]
+
+    def test_probe_link_gives_up_after_four_sweeps(self, monkeypatch):
+        seen = self._synthetic_spans(monkeypatch, per_sweep=2, clean_from=99)
+        with pytest.raises(ValueError, match="degenerate"):
+            probe_link(
+                2, backend="thread", transport=None,
+                sizes_bytes=(4_096, 65_536), iters=3,
+            )
+        assert seen == [3, 3, 5, 5, 9, 9, 17, 17]
+
+    def test_probe_two_level_retry_doubles_timed_reps(self, monkeypatch):
+        from repro.comm import NodeTopology
+        from repro.tune import probe_two_level
+
+        # Per sweep: intra then inter at each of three sizes.
+        seen = self._synthetic_spans(monkeypatch, per_sweep=6, clean_from=1)
+        profile = probe_two_level(
+            NodeTopology.symmetric(2, 2),
+            sizes_bytes=(4_096, 65_536, 262_144), iters=3,
+        )
+        assert set(profile.links) == {"intra", "inter"}
+        assert seen == [3] * 6 + [5] * 6
 
     def test_probe_needs_two_ranks(self):
         with pytest.raises(ValueError, match="world_size"):
